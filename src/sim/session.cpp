@@ -376,15 +376,15 @@ RunResult Session::run(const RunSpec& spec) {
     }
   }
 
-  Engine engine(*system, *trace, ec);
+  auto engine = std::make_unique<Engine>(*system, *trace, ec);
   if (restored) {
-    engine.mark_prepared();
+    engine->mark_prepared();
   } else if (!prepared_key.empty() && capture_worthwhile) {
     // Cold cell of a sharing Session: prepare now, then capture the
     // post-prefault snapshot for later cells (and for the on-disk store).
     // Skipped when no store is configured and the key has not repeated —
     // a one-shot sweep of unique cells would pay the copy for nothing.
-    engine.prepare();
+    engine->prepare();
     ScopedPhaseTimer timer(build_profile, ProfilePhase::kSnapshot);
     if (auto snap = system->snapshot_prepared(image)) {
       {
@@ -407,7 +407,16 @@ RunResult Session::run(const RunSpec& spec) {
       }
     }
   }
-  RunResult result = engine.run();
+  RunResult result = engine->run();
+  {
+    // Destroying the cell returns every frame it mapped to the allocator,
+    // one free per page: its own phase, so --profile accounts for it
+    // without inflating collect.
+    ScopedPhaseTimer timer(build_profile, ProfilePhase::kTeardown);
+    engine.reset();
+    trace.reset();
+    system.reset();
+  }
   result.host_profile.merge(build_profile);
   result.host.image_builds = image_built ? 1 : 0;
   result.host.image_hits = image && !image_built ? 1 : 0;

@@ -16,7 +16,70 @@ std::uint64_t low_watermark(const PhysicalMemory& pm) {
 std::uint64_t high_watermark(const PhysicalMemory& pm) {
   return pm.num_frames() / 256 * 3;
 }
+// Reverse-map sizing: at most kMaxLoadNum/kMaxLoadDen of the slots are
+// full, and a table never has fewer than kMinSlots slots.
+constexpr std::size_t kMaxLoadNum = 3;
+constexpr std::size_t kMaxLoadDen = 4;
+constexpr std::size_t kMinSlots = 64;
 }  // namespace
+
+void AddressSpace::FrameOwners::reserve(std::size_t n) {
+  std::size_t capacity = kMinSlots;
+  while (capacity * kMaxLoadNum < n * kMaxLoadDen) capacity *= 2;
+  if (capacity > slots_.size()) rehash(capacity);
+}
+
+void AddressSpace::FrameOwners::rehash(std::size_t capacity) {
+  static_assert(kMinSlots >= 2 * kRunLen, "home() needs at least two runs");
+  std::vector<Slot> old(capacity, Slot{kEmpty, 0});
+  old.swap(slots_);
+  mask_ = capacity - 1;
+  shift_ = 64;
+  for (std::size_t runs = capacity >> kRunBits; runs > 1; runs >>= 1) --shift_;
+  for (const Slot& s : old) {
+    if (s.pfn == kEmpty) continue;
+    std::size_t i = home(s.pfn);
+    while (slots_[i].pfn != kEmpty) i = next(i);
+    slots_[i] = s;
+  }
+}
+
+void AddressSpace::FrameOwners::assign(Pfn pfn, Vpn vpn) {
+  assert(pfn != kEmpty);
+  if ((size_ + 1) * kMaxLoadDen > slots_.size() * kMaxLoadNum)
+    rehash(slots_.empty() ? kMinSlots : slots_.size() * 2);
+  std::size_t i = home(pfn);
+  while (slots_[i].pfn != kEmpty && slots_[i].pfn != pfn) i = next(i);
+  if (slots_[i].pfn == kEmpty) ++size_;
+  slots_[i] = Slot{pfn, vpn};
+}
+
+const Vpn* AddressSpace::FrameOwners::find(Pfn pfn) const {
+  if (slots_.empty()) return nullptr;
+  for (std::size_t i = home(pfn);; i = next(i)) {
+    if (slots_[i].pfn == pfn) return &slots_[i].vpn;
+    if (slots_[i].pfn == kEmpty) return nullptr;
+  }
+}
+
+void AddressSpace::FrameOwners::erase(Pfn pfn) {
+  if (slots_.empty()) return;
+  std::size_t hole = home(pfn);
+  while (slots_[hole].pfn != pfn) {
+    if (slots_[hole].pfn == kEmpty) return;
+    hole = next(hole);
+  }
+  // Backward shift: pull each later entry of the probe run into the hole
+  // unless its home lies strictly between the hole and its slot.
+  for (std::size_t i = next(hole); slots_[i].pfn != kEmpty; i = next(i)) {
+    if (((i - home(slots_[i].pfn)) & mask_) >= ((i - hole) & mask_)) {
+      slots_[hole] = slots_[i];
+      hole = i;
+    }
+  }
+  slots_[hole].pfn = kEmpty;
+  --size_;
+}
 
 AddressSpace::AddressSpace(PhysicalMemory& pm, std::unique_ptr<PageTable> pt,
                            bool use_huge_pages)
@@ -41,10 +104,7 @@ AddressSpace::AddressSpace(PhysicalMemory& pm, std::unique_ptr<PageTable> pt,
 AddressSpace::~AddressSpace() {
   pm_.set_relocate_hook(nullptr);
   // Return data frames; the page table returns its own frames in its dtor.
-  for (const auto& [pfn, vpn] : frame_owner_) {
-    (void)vpn;
-    pm_.free_frame(pfn);
-  }
+  frame_owner_.for_each([this](Pfn pfn, Vpn) { pm_.free_frame(pfn); });
   for (const auto& [vpn, base] : huge_blocks_) {
     (void)vpn;
     pm_.free_huge(base);
@@ -58,6 +118,15 @@ void AddressSpace::add_region(VmRegion region) {
 }
 
 void AddressSpace::prefault_all() {
+  // Size the reverse map for every 4 KB page prefault can map, so the
+  // per-page inserts below never rehash. Huge mode maps 2 MB blocks, which
+  // the reverse map does not hold; its rare 4 KB fallbacks grow it instead.
+  if (!huge_) {
+    std::uint64_t pages = frame_owner_.size();
+    for (const VmRegion& r : regions_)
+      if (r.prefault) pages += vpn_of(r.end() - 1) - vpn_of(r.base) + 1;
+    frame_owner_.reserve(pages);
+  }
   for (const VmRegion& r : regions_) {
     if (!r.prefault) continue;
     if (huge_) {
@@ -127,7 +196,7 @@ Cycle AddressSpace::maybe_reclaim(std::uint64_t frames_needed) {
 Cycle AddressSpace::fault_in_4k(Vpn vpn) {
   const Pfn pfn = pm_.alloc_frame(FrameUse::kData);
   const MapResult mr = pt_->map(vpn, pfn, kPageShift);
-  frame_owner_[pfn] = vpn;
+  frame_owner_.assign(pfn, vpn);
   fifo_4k_.push_back(vpn);
   ++mapped_4k_;
   c_fault_4k_->add();
@@ -211,15 +280,14 @@ std::optional<PhysAddr> AddressSpace::translate(VirtAddr va) const {
 }
 
 void AddressSpace::on_relocate(Pfn old_pfn, Pfn new_pfn) {
-  auto it = frame_owner_.find(old_pfn);
-  assert(it != frame_owner_.end() &&
-         "compaction moved a data frame this space does not own");
-  const Vpn vpn = it->second;
+  const Vpn* owner = frame_owner_.find(old_pfn);
+  assert(owner && "compaction moved a data frame this space does not own");
+  const Vpn vpn = *owner;
   const bool ok = pt_->remap(vpn, new_pfn);
   assert(ok && "reverse map points at an unmapped vpn");
   (void)ok;
-  frame_owner_.erase(it);
-  frame_owner_[new_pfn] = vpn;
+  frame_owner_.erase(old_pfn);
+  frame_owner_.assign(new_pfn, vpn);
   // The frame moved under the translation: TLBs must not serve the old pa.
   if (shootdown_) shootdown_(vpn);
   c_relocated_frames_->add();
@@ -237,8 +305,10 @@ void AddressSpace::save_state(BlobWriter& out) const {
   }
   // Hash maps serialize sorted by key so identical state always produces
   // identical bytes (the store's byte-identity contract).
-  std::vector<std::pair<Pfn, Vpn>> owners(frame_owner_.begin(),
-                                          frame_owner_.end());
+  std::vector<std::pair<Pfn, Vpn>> owners;
+  owners.reserve(frame_owner_.size());
+  frame_owner_.for_each(
+      [&owners](Pfn pfn, Vpn vpn) { owners.emplace_back(pfn, vpn); });
   std::sort(owners.begin(), owners.end());
   std::vector<std::uint64_t> opfns(owners.size()), ovpns(owners.size());
   for (std::size_t i = 0; i < owners.size(); ++i) {
@@ -291,12 +361,18 @@ bool AddressSpace::load_state(BlobReader& in) {
   const std::uint64_t m2 = in.u64();
   if (!in.ok() || opfns.size() != ovpns.size() || hvpns.size() != hpfns.size())
     return false;
+  // The owner list is written sorted by pfn with one entry per 4 KB
+  // mapping; anything else is corrupt (a duplicate pfn would silently
+  // collapse into one entry and leak a frame).
+  if (opfns.size() != m4) return false;
+  for (std::size_t i = 1; i < opfns.size(); ++i)
+    if (opfns[i] <= opfns[i - 1]) return false;
   if (!stats_.load_state(in)) return false;
   regions_ = std::move(regions);
-  frame_owner_.clear();
+  frame_owner_ = FrameOwners();
   frame_owner_.reserve(opfns.size());
   for (std::size_t i = 0; i < opfns.size(); ++i)
-    frame_owner_.emplace(opfns[i], ovpns[i]);
+    frame_owner_.assign(opfns[i], ovpns[i]);
   huge_blocks_.clear();
   huge_blocks_.reserve(hvpns.size());
   for (std::size_t i = 0; i < hvpns.size(); ++i)

@@ -106,8 +106,54 @@ class AddressSpace {
   bool huge_;
   std::vector<VmRegion> regions_;
   /// Reverse map for compaction: data frame -> vpn (4 KB mappings only;
-  /// 2 MB blocks and page-table frames are never relocated).
-  std::unordered_map<Pfn, Vpn> frame_owner_;
+  /// 2 MB blocks and page-table frames are never relocated). It holds one
+  /// entry per resident data page, so it is a flat open-addressing table:
+  /// one slot array, linear probing, backward-shift erase, no per-entry
+  /// allocation. The hash keeps runs of kRunLen neighbouring pfns in
+  /// neighbouring slots and scatters the runs, so the mostly ascending
+  /// pfns the buddy allocator hands out during prefault fill slots
+  /// sequentially instead of touching a new cache line per page.
+  class FrameOwners {
+   public:
+    /// Room for `n` entries without growing (never shrinks).
+    void reserve(std::size_t n);
+    /// Map pfn -> vpn, replacing any existing entry for pfn.
+    void assign(Pfn pfn, Vpn vpn);
+    /// The vpn owning pfn, or nullptr.
+    const Vpn* find(Pfn pfn) const;
+    /// Remove pfn's entry, if any.
+    void erase(Pfn pfn);
+    std::size_t size() const { return size_; }
+    /// Visit every (pfn, vpn) in slot order (unspecified, deterministic).
+    template <typename Fn>
+    void for_each(Fn&& fn) const {
+      for (const Slot& s : slots_)
+        if (s.pfn != kEmpty) fn(s.pfn, s.vpn);
+    }
+
+   private:
+    struct Slot {
+      Pfn pfn;
+      Vpn vpn;
+    };
+    static constexpr Pfn kEmpty = ~Pfn{0};
+    static constexpr unsigned kRunBits = 4;
+    static constexpr std::size_t kRunLen = std::size_t{1} << kRunBits;
+
+    std::size_t home(Pfn pfn) const {
+      const std::uint64_t run = (pfn >> kRunBits) * 0x9E3779B97F4A7C15ull;
+      return static_cast<std::size_t>(((run >> shift_) << kRunBits) |
+                                      (pfn & (kRunLen - 1)));
+    }
+    std::size_t next(std::size_t i) const { return (i + 1) & mask_; }
+    void rehash(std::size_t capacity);
+
+    std::vector<Slot> slots_;
+    std::size_t mask_ = 0;
+    unsigned shift_ = 64;  ///< 64 - log2(capacity / kRunLen)
+    std::size_t size_ = 0;
+  };
+  FrameOwners frame_owner_;
   /// 2 MB blocks owned by this space: base vpn -> base pfn.
   std::unordered_map<Vpn, Pfn> huge_blocks_;
   /// Reclaim FIFOs (allocation order). Entries may be stale (already

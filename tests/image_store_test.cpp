@@ -384,6 +384,75 @@ TEST(ImageStore, CorruptedStoreRebuildsCleanlyAndStaysByteIdentical) {
   EXPECT_EQ(healed.store_errors, 0u);
 }
 
+/// The store's payload checksum (FNV-1a 64 over the payload bytes).
+std::uint64_t payload_checksum(const std::uint64_t* words, std::size_t n) {
+  std::uint64_t h = 0xCBF29CE484222325ull;
+  const auto* p = reinterpret_cast<const unsigned char*>(words);
+  for (std::size_t i = 0; i < n * 8; ++i) {
+    h ^= p[i];
+    h *= 0x100000001B3ull;
+  }
+  return h;
+}
+
+/// Skip one BlobWriter::str() field starting at words[at].
+std::size_t skip_str(const std::vector<std::uint64_t>& words, std::size_t at) {
+  return at + 1 + (words.at(at) + 7) / 8;
+}
+
+TEST(ImageStore, PreparedBlobWithDuplicateOwnerPfnIsRejectedAndRebuilt) {
+  // A prepared blob whose checksum is valid but whose AddressSpace owner
+  // list repeats a pfn (so it is no longer strictly increasing) must be
+  // refused by AddressSpace::load_state, not adopted with the duplicate
+  // collapsed: the Session counts one store error, rebuilds cold, and the
+  // result bytes do not change.
+  const RunSpec spec = golden_specs("experiments/ci_smoke.json", 2000,
+                                    0.015625)[0];
+  TempStoreDir dir("owners");
+  SessionOptions opts;
+  opts.image_store = dir.path();
+  const RunResult cold = Session(opts).run(spec);
+
+  std::string prep_path;
+  for (const auto& entry : fs::directory_iterator(dir.path()))
+    if (entry.path().filename().string().rfind("prep-", 0) == 0)
+      prep_path = entry.path().string();
+  ASSERT_FALSE(prep_path.empty());
+  const std::vector<char> bytes = read_bytes(prep_path);
+  std::vector<std::uint64_t> words(bytes.size() / 8);
+  std::memcpy(words.data(), bytes.data(), words.size() * 8);
+
+  // Header (magic, version|kind, payload words, checksum), key, then the
+  // payload: section table and sections (sim/image_store.h).
+  const std::size_t payload = skip_str(words, 4);
+  ASSERT_EQ(words.size() - payload, words[2]);
+  const std::uint64_t n_sections = words.at(payload);
+  std::size_t section = payload + 1 + 2 * n_sections;
+  std::size_t space = 0;
+  for (std::uint64_t i = 0; i < n_sections; ++i) {
+    if (words.at(payload + 1 + 2 * i) == 6) space = section;  // AddressSpace
+    section += words.at(payload + 2 + 2 * i);
+  }
+  ASSERT_NE(space, 0u);
+  // AddressSpace::save_state: tag, huge flag, regions, then the owner pfns.
+  std::size_t at = skip_str(words, space) + 1;
+  const std::uint64_t n_regions = words.at(at++);
+  for (std::uint64_t i = 0; i < n_regions; ++i) at = skip_str(words, at) + 3;
+  ASSERT_GE(words.at(at), 2u) << "too few owned frames to corrupt";
+  words.at(at + 2) = words.at(at + 1);
+  words[3] = payload_checksum(words.data() + payload, words.size() - payload);
+  std::vector<char> corrupted(bytes.size());
+  std::memcpy(corrupted.data(), words.data(), corrupted.size());
+  write_bytes(prep_path, corrupted);
+
+  Session second(opts);
+  const RunResult rebuilt = second.run(spec);
+  EXPECT_EQ(to_json(rebuilt, &spec), to_json(cold, &spec));
+  const SessionStats stats = second.stats();
+  EXPECT_EQ(stats.store_errors, 1u);
+  EXPECT_EQ(stats.prepared_builds, 1u);
+}
+
 TEST(ImageStore, SessionRestoresPreparedImagesAcrossProcessBoundary) {
   // Two Sessions over one store directory stand in for two processes: the
   // second restores post-prefault snapshots (a store hit per blob kind)

@@ -2,9 +2,10 @@
 //
 // CI cannot assert wall time without flaking on slow runners, so the hot
 // paths are budgeted in *deterministic* units instead: engine heap
-// operations and host heap allocations per simulated instruction. A
-// regression that re-introduces per-event allocation (walk-path churn,
-// hash-map nodes on the TLB-miss path, an unreserved event queue) moves
+// operations and host heap allocations per simulated instruction, and host
+// allocations per prefaulted page. A regression that re-introduces
+// per-event or per-page allocation (walk-path churn, hash-map nodes on the
+// TLB-miss path or in the reverse map, an unreserved event queue) moves
 // these counts far past the budgets long before it shows up on a stopwatch.
 //
 // Budgets carry ~2-3x headroom over measured values (see BENCH_engine.json)
@@ -13,6 +14,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 
 #include <gtest/gtest.h>
@@ -95,6 +97,54 @@ TEST(PerfSmoke, HeapOpsPerInstructionWithinBudget) {
       << "event queue grew past the outstanding-op bound";
 }
 
+/// The smoke spec's cell, assembled by hand so a test can count the host
+/// allocations of one stage at a time.
+struct SmokeCell {
+  SmokeCell()
+      : sys(SystemConfig::ndp(2, Mechanism::kRadix)),
+        trace(WorkloadRegistry::instance().at("gups").make(params())),
+        engine(sys, *trace, config()) {}
+
+  static WorkloadParams params() {
+    WorkloadParams wp;
+    wp.num_cores = 2;
+    wp.scale = 0.02;
+    return wp;
+  }
+  static EngineConfig config() {
+    EngineConfig ec;
+    ec.instructions_per_core = 20000;
+    ec.warmup_refs_per_core = 1333;
+    return ec;
+  }
+
+  System sys;
+  std::unique_ptr<TraceSource> trace;
+  Engine engine;
+};
+
+TEST(PerfSmoke, PrepareAllocationsPerPrefaultedPageWithinBudget) {
+#if NDP_COUNT_ALLOCS
+  // Prefault maps every resident page, so anything it allocates per page
+  // (a hash node in the reverse map, say) shows up as >= 1 allocation per
+  // page; a node-per-page reverse map measured 1.016. Measured now: 0.016
+  // (837 allocations for 52,429 pages, mostly the reclaim FIFO's deque
+  // chunks, one per 64 pages). 0.1 is 6x headroom and still an order of
+  // magnitude below node-per-page.
+  SmokeCell cell;
+  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  cell.engine.prepare();
+  const std::uint64_t during =
+      g_allocs.load(std::memory_order_relaxed) - before;
+  const double pages = static_cast<double>(cell.sys.space().mapped_pages());
+  ASSERT_GT(pages, 1000.0);
+  EXPECT_LT(static_cast<double>(during) / pages, 0.1)
+      << during << " allocations to prefault " << pages << " pages";
+#else
+  GTEST_SKIP() << "allocation counting disabled under sanitizers";
+#endif
+}
+
 TEST(PerfSmoke, AllocationsPerInstructionWithinBudget) {
 #if NDP_COUNT_ALLOCS
   // Build everything first; count only the event loop. Steady state should
@@ -102,16 +152,8 @@ TEST(PerfSmoke, AllocationsPerInstructionWithinBudget) {
   // the event queue are all reused storage. Demand faults may allocate
   // (page-table nodes, reverse-map growth) — the budget leaves room for
   // them, not for per-event churn.
-  SystemConfig sc = SystemConfig::ndp(2, Mechanism::kRadix);
-  System sys(sc);
-  WorkloadParams wp;
-  wp.num_cores = 2;
-  wp.scale = 0.02;
-  auto trace = WorkloadRegistry::instance().at("gups").make(wp);
-  EngineConfig ec;
-  ec.instructions_per_core = 20000;
-  ec.warmup_refs_per_core = 1333;
-  Engine engine(sys, *trace, ec);
+  SmokeCell cell;
+  Engine& engine = cell.engine;
   engine.prepare();  // setup allocates per page; the event loop must not
 
   const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
