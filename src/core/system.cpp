@@ -121,14 +121,20 @@ System::System(const SystemConfig& cfg, const SystemImage* image) : cfg_(cfg) {
   assemble(image);
 }
 
+System::~System() {
+  if (space_) space_->abandon_frames();
+}
+
 void System::reset_to(const SystemImage& image) {
   if (!image.compatible_with(cfg_))
     throw std::invalid_argument(
         "System::reset_to: image was prepared for a different (kind, cores, "
         "seed, overrides) key");
-  // Tear down the consumers of the substrate first: the old address space
-  // frees its page-table frames into state that restore() overwrites next.
+  // Tear down the consumers of the substrate first. restore() overwrites
+  // the pool next, so the old address space drops its data frames instead
+  // of freeing them one by one; its page table still frees its own.
   mmus_.clear();
+  space_->abandon_frames();
   space_.reset();
   phys_->restore(image.phys);
   assemble(&image);

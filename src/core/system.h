@@ -134,6 +134,9 @@ class System {
   /// substrate is restored instead of rebuilt. Throws std::invalid_argument
   /// when the image is not compatible_with(cfg).
   System(const SystemConfig& cfg, const SystemImage& image);
+  /// Drops the address space's data frames without returning them to the
+  /// pool that is destroyed with this System.
+  ~System();
 
   /// The shareable build products for `cfg` — what Session caches.
   static SystemImage prepare_image(const SystemConfig& cfg);

@@ -239,8 +239,10 @@ void PhysicalMemory::free_huge(Pfn base) {
   for (std::uint64_t i = 0; i < win; ++i) {
     assert(use_[base + i] == FrameUse::kHugePart);
     set_use(base + i, FrameUse::kFree);
-    buddy_.free(base + i, 0);
   }
+  // One order-9 free; eager coalescing leaves the same free lists as 512
+  // order-0 frees would.
+  buddy_.free(base, kHugeOrder);
   c_huge_free_->add();
 }
 

@@ -33,7 +33,7 @@ enum class ProfilePhase : unsigned {
   kRun,       ///< event loop after stats reset (the measured window)
   kCollect,   ///< stat snapshot/merge + result assembly
   kSnapshot,  ///< prepared-image capture + on-disk store writes
-  kTeardown,  ///< engine, system and trace destruction (every frame freed)
+  kTeardown,  ///< engine, system and trace destruction
   kCount_,
 };
 constexpr unsigned kNumProfilePhases =

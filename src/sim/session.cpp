@@ -409,9 +409,10 @@ RunResult Session::run(const RunSpec& spec) {
   }
   RunResult result = engine->run();
   {
-    // Destroying the cell returns every frame it mapped to the allocator,
-    // one free per page: its own phase, so --profile accounts for it
-    // without inflating collect.
+    // Destroying the cell frees its host memory. The data frames it mapped
+    // are dropped with the pool rather than freed one by one; only the page
+    // tables return their frames. Its own phase, so --profile accounts for
+    // it without inflating collect.
     ScopedPhaseTimer timer(build_profile, ProfilePhase::kTeardown);
     engine.reset();
     trace.reset();

@@ -16,17 +16,35 @@ std::uint64_t low_watermark(const PhysicalMemory& pm) {
 std::uint64_t high_watermark(const PhysicalMemory& pm) {
   return pm.num_frames() / 256 * 3;
 }
-// Reverse-map sizing: at most kMaxLoadNum/kMaxLoadDen of the slots are
-// full, and a table never has fewer than kMinSlots slots.
+// Reverse-map sizing: at most kMaxLoadNum/kMaxLoadDen of the index slots
+// are full, and an index never has fewer than kMinSlots slots.
 constexpr std::size_t kMaxLoadNum = 3;
 constexpr std::size_t kMaxLoadDen = 4;
 constexpr std::size_t kMinSlots = 64;
-}  // namespace
+// A flush prefetches the home slot of the log entry this far ahead.
+constexpr std::size_t kPrefetchAhead = 8;
 
-void AddressSpace::FrameOwners::reserve(std::size_t n) {
+std::size_t index_capacity_for(std::size_t n) {
   std::size_t capacity = kMinSlots;
   while (capacity * kMaxLoadNum < n * kMaxLoadDen) capacity *= 2;
+  return capacity;
+}
+}  // namespace
+
+void AddressSpace::FrameOwners::flush() {
+  if (logged_ == 0) return;
+  const std::size_t capacity =
+      index_capacity_for(std::max(planned_, size_ + logged_));
   if (capacity > slots_.size()) rehash(capacity);
+  // Random slots: prefetching a few entries ahead overlaps their misses.
+  for (std::size_t i = 0; i < logged_; ++i) {
+    if (i + kPrefetchAhead < logged_)
+      __builtin_prefetch(&slots_[home(log_entry(i + kPrefetchAhead).pfn)], 1);
+    insert(log_entry(i));
+  }
+  size_ += logged_;
+  logged_ = 0;
+  log_.clear();
 }
 
 void AddressSpace::FrameOwners::rehash(std::size_t capacity) {
@@ -36,25 +54,22 @@ void AddressSpace::FrameOwners::rehash(std::size_t capacity) {
   mask_ = capacity - 1;
   shift_ = 64;
   for (std::size_t runs = capacity >> kRunBits; runs > 1; runs >>= 1) --shift_;
-  for (const Slot& s : old) {
-    if (s.pfn == kEmpty) continue;
-    std::size_t i = home(s.pfn);
-    while (slots_[i].pfn != kEmpty) i = next(i);
-    slots_[i] = s;
+  for (const Slot& s : old)
+    if (s.pfn != kEmpty) insert(s);
+}
+
+void AddressSpace::FrameOwners::insert(const Slot& s) {
+  assert(s.pfn != kEmpty);
+  std::size_t i = home(s.pfn);
+  while (slots_[i].pfn != kEmpty) {
+    assert(slots_[i].pfn != s.pfn && "frame assigned twice");
+    i = next(i);
   }
+  slots_[i] = s;
 }
 
-void AddressSpace::FrameOwners::assign(Pfn pfn, Vpn vpn) {
-  assert(pfn != kEmpty);
-  if ((size_ + 1) * kMaxLoadDen > slots_.size() * kMaxLoadNum)
-    rehash(slots_.empty() ? kMinSlots : slots_.size() * 2);
-  std::size_t i = home(pfn);
-  while (slots_[i].pfn != kEmpty && slots_[i].pfn != pfn) i = next(i);
-  if (slots_[i].pfn == kEmpty) ++size_;
-  slots_[i] = Slot{pfn, vpn};
-}
-
-const Vpn* AddressSpace::FrameOwners::find(Pfn pfn) const {
+const Vpn* AddressSpace::FrameOwners::find(Pfn pfn) {
+  flush();
   if (slots_.empty()) return nullptr;
   for (std::size_t i = home(pfn);; i = next(i)) {
     if (slots_[i].pfn == pfn) return &slots_[i].vpn;
@@ -63,6 +78,7 @@ const Vpn* AddressSpace::FrameOwners::find(Pfn pfn) const {
 }
 
 void AddressSpace::FrameOwners::erase(Pfn pfn) {
+  flush();
   if (slots_.empty()) return;
   std::size_t hole = home(pfn);
   while (slots_[hole].pfn != pfn) {
@@ -111,6 +127,11 @@ AddressSpace::~AddressSpace() {
   }
 }
 
+void AddressSpace::abandon_frames() {
+  frame_owner_ = FrameOwners();
+  huge_blocks_ = {};
+}
+
 void AddressSpace::add_region(VmRegion region) {
   assert(region.bytes > 0);
   assert(page_offset(region.base) == 0 && "regions must be page aligned");
@@ -118,9 +139,10 @@ void AddressSpace::add_region(VmRegion region) {
 }
 
 void AddressSpace::prefault_all() {
-  // Size the reverse map for every 4 KB page prefault can map, so the
-  // per-page inserts below never rehash. Huge mode maps 2 MB blocks, which
-  // the reverse map does not hold; its rare 4 KB fallbacks grow it instead.
+  // Plan the reverse map for every 4 KB page prefault can map, so an index
+  // built mid-prefault (compaction reads it) is sized once and never
+  // rehashes. Huge mode maps 2 MB blocks, which the reverse map does not
+  // hold; its rare 4 KB fallbacks grow it instead.
   if (!huge_) {
     std::uint64_t pages = frame_owner_.size();
     for (const VmRegion& r : regions_)

@@ -8,6 +8,7 @@
 // its allocation/compaction bill.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -65,6 +66,12 @@ class AddressSpace {
   /// Map without charging costs or taking the lock (the Ideal mechanism).
   void touch_untimed(VirtAddr va);
 
+  /// Forget every data frame and 2 MB block this space owns without
+  /// returning them to the pool — for a pool that is destroyed or restored
+  /// wholesale right after this space. Afterwards the space may only be
+  /// destroyed. The page table still frees its own frames.
+  void abandon_frames();
+
   /// Invoked for every vpn whose translation is torn down by reclaim, so
   /// the owner can shoot down TLBs. Set by the System assembly.
   void set_shootdown_hook(std::function<void(Vpn)> fn) {
@@ -107,28 +114,46 @@ class AddressSpace {
   std::vector<VmRegion> regions_;
   /// Reverse map for compaction: data frame -> vpn (4 KB mappings only;
   /// 2 MB blocks and page-table frames are never relocated). It holds one
-  /// entry per resident data page, so it is a flat open-addressing table:
-  /// one slot array, linear probing, backward-shift erase, no per-entry
-  /// allocation. The hash keeps runs of kRunLen neighbouring pfns in
-  /// neighbouring slots and scatters the runs, so the mostly ascending
-  /// pfns the buddy allocator hands out during prefault fill slots
-  /// sequentially instead of touching a new cache line per page.
+  /// entry per resident data page, but most spaces never read it (only
+  /// compaction, reclaim and DIPTA set conflicts do). So it has two parts:
+  /// a write-only log that assign() appends to, and a flat open-addressing
+  /// index (one slot array, linear probing, backward-shift erase) that the
+  /// first find() or erase() builds from the log in one prefetched pass.
+  /// The build frees the log, and from then on the log is flushed whenever
+  /// it reaches kMaxLog entries, so it never again grows beside a full
+  /// index. The log is a list of fixed-size chunks, not one array sized per
+  /// space: a daemon builds space after space, and per-space sizes left
+  /// its heap fragmented (peak RSS about 25% higher for the same served
+  /// requests). The hash keeps runs of kRunLen neighbouring pfns in
+  /// neighbouring slots.
   class FrameOwners {
    public:
-    /// Room for `n` entries without growing (never shrinks).
-    void reserve(std::size_t n);
-    /// Map pfn -> vpn, replacing any existing entry for pfn.
-    void assign(Pfn pfn, Vpn vpn);
+    /// Plan for `n` entries in total: the index is sized for them when it
+    /// is next built or grown. Never shrinks.
+    void reserve(std::size_t n) { planned_ = std::max(planned_, n); }
+    /// Map pfn -> vpn; pfn must not be in the map already.
+    void assign(Pfn pfn, Vpn vpn) {
+      if (logged_ % kLogChunk == 0) {
+        if (logged_ >= kMaxLog && !slots_.empty()) flush();
+        log_.emplace_back(new Slot[kLogChunk]);
+      }
+      log_[logged_ / kLogChunk][logged_ % kLogChunk] = Slot{pfn, vpn};
+      ++logged_;
+    }
     /// The vpn owning pfn, or nullptr.
-    const Vpn* find(Pfn pfn) const;
+    const Vpn* find(Pfn pfn);
     /// Remove pfn's entry, if any.
     void erase(Pfn pfn);
-    std::size_t size() const { return size_; }
-    /// Visit every (pfn, vpn) in slot order (unspecified, deterministic).
+    std::size_t size() const { return size_ + logged_; }
+    /// Visit every (pfn, vpn) once, in an unspecified deterministic order.
     template <typename Fn>
     void for_each(Fn&& fn) const {
       for (const Slot& s : slots_)
         if (s.pfn != kEmpty) fn(s.pfn, s.vpn);
+      for (std::size_t i = 0; i < logged_; ++i) {
+        const Slot& s = log_entry(i);
+        fn(s.pfn, s.vpn);
+      }
     }
 
    private:
@@ -139,6 +164,10 @@ class AddressSpace {
     static constexpr Pfn kEmpty = ~Pfn{0};
     static constexpr unsigned kRunBits = 4;
     static constexpr std::size_t kRunLen = std::size_t{1} << kRunBits;
+    /// Entries per log chunk (64 KB).
+    static constexpr std::size_t kLogChunk = std::size_t{1} << 12;
+    /// Log length that triggers a flush once the index exists.
+    static constexpr std::size_t kMaxLog = 4 * kLogChunk;
 
     std::size_t home(Pfn pfn) const {
       const std::uint64_t run = (pfn >> kRunBits) * 0x9E3779B97F4A7C15ull;
@@ -146,12 +175,22 @@ class AddressSpace {
                                       (pfn & (kRunLen - 1)));
     }
     std::size_t next(std::size_t i) const { return (i + 1) & mask_; }
+    const Slot& log_entry(std::size_t i) const {
+      return log_[i / kLogChunk][i % kLogChunk];
+    }
+    /// Move the log into the index, building or growing the index first.
+    void flush();
     void rehash(std::size_t capacity);
+    /// Place `s` in its probe run; the index must have a free slot.
+    void insert(const Slot& s);
 
+    std::vector<std::unique_ptr<Slot[]>> log_;  ///< chunks of kLogChunk
+    std::size_t logged_ = 0;                    ///< entries in log_
     std::vector<Slot> slots_;
     std::size_t mask_ = 0;
     unsigned shift_ = 64;  ///< 64 - log2(capacity / kRunLen)
-    std::size_t size_ = 0;
+    std::size_t size_ = 0;     ///< entries in slots_
+    std::size_t planned_ = 0;  ///< entries reserve() was told to expect
   };
   FrameOwners frame_owner_;
   /// 2 MB blocks owned by this space: base vpn -> base pfn.

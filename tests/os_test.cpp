@@ -4,6 +4,7 @@
 
 #include <set>
 
+#include "common/blob.h"
 #include "common/rng.h"
 #include "os/buddy.h"
 #include "os/phys_mem.h"
@@ -184,6 +185,65 @@ TEST(PhysMem, CompactionRelocatesDataWithHook) {
   EXPECT_EQ(relocations, r.frames_moved);
   EXPECT_GT(relocations, 0u);
   EXPECT_GT(r.cost, pm.costs().fault_2m_base());
+}
+
+std::vector<std::uint64_t> buddy_bytes(const BuddyAllocator& b) {
+  BlobWriter w;
+  b.save_state(w);
+  return w.take();
+}
+
+/// free_huge returns the block as one order-9 free; the allocator must end
+/// in exactly the state 512 order-0 frees of the same frames leave.
+void expect_free_huge_matches_frame_frees(PhysicalMemory& pm, Pfn base) {
+  BuddyAllocator one_by_one = pm.buddy();
+  for (std::uint64_t i = 0; i < 512; ++i) one_by_one.free(base + i, 0);
+  pm.free_huge(base);
+  EXPECT_EQ(buddy_bytes(pm.buddy()), buddy_bytes(one_by_one));
+  EXPECT_EQ(pm.free_frames(), one_by_one.free_frames());
+  for (std::uint64_t i = 0; i < 512; ++i)
+    ASSERT_EQ(pm.use_of(base + i), FrameUse::kFree);
+}
+
+TEST(PhysMem, FreeHugeMatchesPerFrameFrees) {
+  {
+    // Pristine block whose buddy is free: coalesces past order 9.
+    PhysicalMemory pm(small_pm(0.0));
+    const auto r = pm.alloc_huge();
+    ASSERT_FALSE(r.fell_back);
+    expect_free_huge_matches_frame_frees(pm, r.base);
+  }
+  {
+    // Pristine block whose buddy is taken: stays an order-9 block.
+    PhysicalMemory pm(small_pm(0.0));
+    const auto a = pm.alloc_huge();
+    const auto b = pm.alloc_huge();
+    ASSERT_FALSE(a.fell_back || b.fell_back);
+    ASSERT_EQ(a.base ^ b.base, 512u);
+    expect_free_huge_matches_frame_frees(pm, a.base);
+  }
+  {
+    // Block assembled by compaction over data frames.
+    PhysicalMemory pm(small_pm(0.0));
+    std::vector<Pfn> data;
+    while (pm.free_frames() > 0)
+      data.push_back(pm.alloc_frame(FrameUse::kData));
+    for (std::size_t i = 0; i < data.size(); i += 3) pm.free_frame(data[i]);
+    const auto r = pm.alloc_huge();
+    ASSERT_TRUE(r.used_compaction);
+    expect_free_huge_matches_frame_frees(pm, r.base);
+  }
+  {
+    // Block assembled by compaction through boot noise.
+    PhysicalMemory pm(small_pm(0.05));
+    std::vector<Pfn> blocks;
+    for (int i = 0; i < 8; ++i) {
+      const auto r = pm.alloc_huge();
+      ASSERT_FALSE(r.fell_back);
+      blocks.push_back(r.base);
+    }
+    for (Pfn base : blocks) expect_free_huge_matches_frame_frees(pm, base);
+  }
 }
 
 TEST(PhysMem, TableBlockAllocatesContiguousAndTagged) {

@@ -4,6 +4,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <set>
 #include <utility>
 #include <string>
@@ -558,6 +559,7 @@ TEST(AddressSpace, ReclaimEvictsWhenMemoryLow) {
 struct ChurnCase {
   const char* name;
   std::function<std::unique_ptr<PageTable>(PhysicalMemory&)> make_pt;
+  std::uint64_t hot_pages = 4096;  ///< prefaulted before the demand rounds
 };
 
 std::vector<ChurnCase> churn_cases() {
@@ -573,6 +575,18 @@ std::vector<ChurnCase> churn_cases() {
          cfg.coverage_frames = 1u << 15;
          return std::make_unique<DiptaPageTable>(pm, cfg);
        }},
+      {"ech",
+       [](PhysicalMemory& pm) {
+         // Small ways at a low load factor resize often during a prefault
+         // that nearly fills the pool. The last resize needs order-7 way
+         // blocks that boot noise left none of, so it compacts over data
+         // frames the reverse map has only logged so far.
+         EchConfig cfg;
+         cfg.initial_entries_per_way = 1024;
+         cfg.max_load_factor = 0.15;
+         return std::make_unique<EchPageTable>(pm, cfg);
+       },
+       14800},
   };
 }
 
@@ -580,6 +594,34 @@ std::vector<std::uint64_t> space_bytes(const AddressSpace& as) {
   BlobWriter w;
   as.save_state(w);
   return w.take();
+}
+
+/// Word offset of the owner pfn list in save_state output. Layout: tag,
+/// huge flag, regions, owner pfns, owner vpns, huge vpns, huge pfns, both
+/// FIFOs, lock horizon, mapped_4k, ...
+std::size_t owners_at(const std::vector<std::uint64_t>& words) {
+  auto skip_str = [&words](std::size_t at) {
+    return at + 1 + (words[at] + 7) / 8;
+  };
+  std::size_t at = skip_str(0) + 1;
+  const std::uint64_t n_regions = words[at++];
+  for (std::uint64_t i = 0; i < n_regions; ++i) at = skip_str(at) + 3;
+  return at;
+}
+
+/// Every reverse-map entry (read back through save_state) names a frame
+/// the page table really maps its vpn to.
+void expect_owners_translate(const AddressSpace& as, const char* name) {
+  const std::vector<std::uint64_t> words = space_bytes(as);
+  const std::size_t pfns = owners_at(words);
+  const std::uint64_t n = words[pfns];
+  const std::size_t vpns = pfns + 1 + n;
+  ASSERT_EQ(words[vpns], n) << name;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const auto pa = as.translate(words[vpns + 1 + i] << kPageShift);
+    ASSERT_TRUE(pa.has_value()) << name;
+    ASSERT_EQ(*pa, words[pfns + 1 + i] << kPageShift) << name;
+  }
 }
 
 /// save_state -> load_state into a fresh space over a restored pool ->
@@ -605,13 +647,13 @@ void expect_round_trip(PhysicalMemory& pm, const AddressSpace& as,
 /// than the pool (reclaim), each followed, while the pool still has room,
 /// by an order-9 table block that must compact over data frames
 /// (relocation); `checkpoint` runs after prefault and after every round.
-void churn(PhysicalMemory& pm, AddressSpace& as, std::uint64_t seed,
-           const std::function<void()>& checkpoint) {
+void churn(PhysicalMemory& pm, AddressSpace& as, const ChurnCase& c,
+           std::uint64_t seed, const std::function<void()>& checkpoint) {
   Rng rng(seed);
   const Vpn demand_base = 0x800000;
   const std::uint64_t demand_pages = 20000;  // 78 MB into a 64 MB pool
-  as.add_region(VmRegion{"hot", 0x400000ull << kPageShift, 4096 * kPageSize,
-                         true});
+  as.add_region(VmRegion{"hot", 0x400000ull << kPageShift,
+                         c.hot_pages * kPageSize, true});
   as.add_region(VmRegion{"demand", demand_base << kPageShift,
                          demand_pages * kPageSize, false});
   as.prefault_all();
@@ -636,7 +678,15 @@ TEST(AddressSpace, TeardownReturnsEveryFrameAfterSeededChurn) {
       const std::uint64_t free_before = pm.free_frames();
       {
         AddressSpace as(pm, c.make_pt(pm), false);
-        churn(pm, as, seed, [] {});
+        std::optional<std::uint64_t> relocated_in_prefault;
+        churn(pm, as, c, seed, [&] {
+          if (!relocated_in_prefault)
+            relocated_in_prefault = as.stats().get("relocated_frames");
+        });
+        // ECH's resizes relocate owners that only the log holds yet.
+        if (std::string(c.name) == "ech") {
+          EXPECT_GT(*relocated_in_prefault, 0u) << c.name;
+        }
         // The mix reached every reverse-map path it is meant to drive.
         const StatSet& st = as.stats();
         EXPECT_GT(st.get("reclaimed_frames"), 0u) << c.name;
@@ -645,6 +695,7 @@ TEST(AddressSpace, TeardownReturnsEveryFrameAfterSeededChurn) {
                   std::string(c.name) == "dipta")
             << c.name;
         EXPECT_LT(pm.free_frames(), free_before) << c.name;
+        expect_owners_translate(as, c.name);
       }
       // Freeing a frame twice asserts in PhysicalMemory; a leak shows here.
       EXPECT_EQ(pm.free_frames(), free_before) << c.name << " seed " << seed;
@@ -658,10 +709,12 @@ TEST(AddressSpace, SaveLoadRoundTripIsByteStableThroughChurn) {
     PhysicalMemory pm(cfg);
     AddressSpace as(pm, c.make_pt(pm), false);
     int checkpoints = 0;
-    churn(pm, as, 3, [&] {
+    churn(pm, as, c, 3, [&] {
       if (++checkpoints % 3 == 1) expect_round_trip(pm, as, c, cfg);
     });
     EXPECT_EQ(checkpoints, 9) << c.name;
+    EXPECT_GT(as.stats().get("relocated_frames"), 0u) << c.name;
+    expect_owners_translate(as, c.name);
   }
 }
 
@@ -671,15 +724,7 @@ TEST(AddressSpace, LoadStateRejectsMalformedOwnerList) {
   as.add_region(VmRegion{"a", 0x100000, 64 * kPageSize, true});
   as.prefault_all();
   const std::vector<std::uint64_t> good = space_bytes(as);
-  // save_state layout: tag, huge flag, regions, owner pfns, owner vpns,
-  // huge vpns, huge pfns, both FIFOs, lock horizon, mapped_4k, ...
-  auto skip_str = [&good](std::size_t at) {
-    return at + 1 + (good[at] + 7) / 8;
-  };
-  std::size_t at = skip_str(0) + 1;
-  const std::uint64_t n_regions = good[at++];
-  for (std::uint64_t i = 0; i < n_regions; ++i) at = skip_str(at) + 3;
-  const std::size_t owners = at;
+  const std::size_t owners = owners_at(good);
   std::size_t mapped_4k = owners;
   for (int list = 0; list < 6; ++list) mapped_4k += 1 + good[mapped_4k];
   ++mapped_4k;
@@ -703,6 +748,36 @@ TEST(AddressSpace, LoadStateRejectsMalformedOwnerList) {
   std::vector<std::uint64_t> miscounted = good;
   ++miscounted[mapped_4k];
   EXPECT_FALSE(loads(miscounted)) << "owner count != mapped_4k";
+}
+
+/// Frames the pool still marks as used for `use`.
+std::uint64_t frames_in_use(const PhysicalMemory& pm, FrameUse use) {
+  std::uint64_t n = 0;
+  for (Pfn f = 0; f < pm.num_frames(); ++f) n += pm.use_of(f) == use;
+  return n;
+}
+
+TEST(AddressSpace, AbandonedFramesAreNotReturnedOnDestruction) {
+  for (const bool huge : {false, true}) {
+    for (const bool abandon : {false, true}) {
+      PhysicalMemory pm(pm_cfg());
+      {
+        AddressSpace as(pm, std::make_unique<RadixPageTable>(pm, huge ? 2 : 1),
+                        huge);
+        as.add_region(VmRegion{"a", 0x40000000, 4 << 20, true});
+        as.prefault_all();
+        ASSERT_EQ(as.mapped_pages(), 1024u);
+        if (abandon) as.abandon_frames();
+      }
+      // The page table always returns its own frames; the data frames and
+      // 2 MB blocks stay allocated only when the space abandoned them.
+      EXPECT_EQ(frames_in_use(pm, FrameUse::kPageTable), 0u);
+      EXPECT_EQ(frames_in_use(pm, FrameUse::kData),
+                abandon && !huge ? 1024u : 0u);
+      EXPECT_EQ(frames_in_use(pm, FrameUse::kHugePart),
+                abandon && huge ? 1024u : 0u);
+    }
+  }
 }
 
 }  // namespace
